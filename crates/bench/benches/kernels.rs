@@ -168,13 +168,6 @@ fn bench_local_index(c: &mut Criterion) {
 }
 
 fn bench_wavelet_variants(c: &mut Criterion) {
-    let v: Vec<f64> = (0..512).map(|i| (i as f64 * 0.11).sin()).collect();
-    c.bench_function("cdf53_decompose_512", |b| {
-        b.iter(|| hyperm_wavelet::cdf53_decompose(black_box(&v)))
-    });
-    c.bench_function("d4_decompose_512", |b| {
-        b.iter(|| hyperm_wavelet::d4_decompose(black_box(&v)))
-    });
     let img = hyperm_wavelet::Image::from_flat(
         (0..32 * 32).map(|i| (i % 17) as f64 / 17.0).collect(),
         32,

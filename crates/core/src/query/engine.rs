@@ -1,19 +1,15 @@
 //! Batch query engine.
 //!
-//! A workload of many queries against the same network repeats work the
-//! single-shot APIs cannot amortise: the per-level key-space radii of a
-//! range batch depend only on `ε` (computed once here, reused for every
-//! query), and the queries themselves are independent, so the engine fans
-//! them out over a bounded worker pool. Inside a worker each query runs its
-//! levels serially — parallelism across queries saturates the cores
-//! already, and nesting level threads under query threads would only add
-//! contention.
+//! The queries of a workload are independent, so the engine fans them out
+//! over a bounded worker pool. Inside a worker each query runs its levels
+//! serially — parallelism across queries saturates the cores already, and
+//! nesting level threads under query threads would only add contention.
 //!
 //! Results are written into per-query slots, so every batch method returns
 //! results in input order and each result is bit-identical to the
 //! corresponding single-shot call (asserted by `tests/parallel_query.rs`).
 
-// hyperm-lint: allow-file(panic-index) — slot vectors are pre-sized to the batch length and indexed by enumerate()
+// hyperm-lint: allow-file(panic-index) — slots are pre-sized to the batch length, and slots and queries are only indexed by i in 0..queries.len()
 use crate::network::HypermNetwork;
 use crate::query::knn::{KnnOptions, KnnResult};
 use crate::query::point::PointResult;
@@ -47,16 +43,17 @@ impl<'a> QueryEngine<'a> {
         self.net
     }
 
-    /// Run `f(i)` for every query index, striding the indices over the
-    /// worker pool, and collect results in input order.
-    fn map_queries<T, F>(&self, n: usize, f: F) -> Vec<T>
+    /// Run `f` on every query, striding the queries over the worker pool,
+    /// and collect results in input order.
+    fn map_queries<T, F>(&self, queries: &[Vec<f64>], f: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(usize) -> T + Sync,
+        F: Fn(&[f64]) -> T + Sync,
     {
+        let n = queries.len();
         let workers = self.threads.min(n.max(1));
         if workers <= 1 {
-            return (0..n).map(f).collect();
+            return queries.iter().map(|q| f(q)).collect();
         }
         let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let f = &f;
@@ -66,7 +63,7 @@ impl<'a> QueryEngine<'a> {
                     scope.spawn(move |_| {
                         (w..n)
                             .step_by(workers)
-                            .map(|i| (i, f(i)))
+                            .map(|i| (i, f(&queries[i])))
                             .collect::<Vec<(usize, T)>>()
                     })
                 })
@@ -88,8 +85,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Range-query every vector in `queries` (shared `eps`/budget),
-    /// returning results in input order. The per-level key-space radii are
-    /// translated once for the whole batch.
+    /// returning results in input order.
     pub fn range_batch(
         &self,
         from_peer: usize,
@@ -98,23 +94,9 @@ impl<'a> QueryEngine<'a> {
         peer_budget: Option<usize>,
     ) -> Vec<RangeResult> {
         assert!(eps >= 0.0, "negative radius {eps}");
-        let base: Vec<f64> = (0..self.net.levels())
-            .map(|l| self.net.query_key_radius(eps, l))
-            .collect();
-        let base = &base;
-        self.map_queries(queries.len(), |i| {
-            let q = &queries[i];
-            let dec = self.net.decompose_query(q);
-            self.net.range_query_with(
-                from_peer,
-                q,
-                eps,
-                peer_budget,
-                &dec,
-                Some(base),
-                false,
-                None,
-            )
+        self.map_queries(queries, |q| {
+            self.net
+                .range_query_with(from_peer, q, eps, false, None, |_| peer_budget)
         })
     }
 
@@ -127,20 +109,15 @@ impl<'a> QueryEngine<'a> {
         opts: KnnOptions,
     ) -> Vec<KnnResult> {
         assert!(k > 0, "k must be positive");
-        self.map_queries(queries.len(), |i| {
-            let q = &queries[i];
-            let dec = self.net.decompose_query(q);
-            self.net
-                .knn_query_with(from_peer, q, k, opts, &dec, false, None)
+        self.map_queries(queries, |q| {
+            self.net.knn_query_with(from_peer, q, k, opts, false, None)
         })
     }
 
     /// Point-query every vector in `queries`, results in input order.
     pub fn point_batch(&self, from_peer: usize, queries: &[Vec<f64>]) -> Vec<PointResult> {
-        self.map_queries(queries.len(), |i| {
-            let q = &queries[i];
-            let dec = self.net.decompose_query(q);
-            self.net.point_query_with(from_peer, q, &dec, false, None)
+        self.map_queries(queries, |q| {
+            self.net.point_query_with(from_peer, q, false, None)
         })
     }
 }

@@ -19,15 +19,13 @@
 //! overlay query (doubling radius until enough summarised items are in
 //! view), then run the estimation on what was found.
 
-// hyperm-lint: allow-file(panic-index) — per-level vectors are built with len == levels() and indexed by the same 0..levels() range
 use crate::network::HypermNetwork;
-use crate::query::{direct_fetch_cost, timed_out_fetch_cost, QueryBudget};
+use crate::query::{request_bytes, response_bytes, Fetch, Phase2, QueryBudget, QuerySpan};
 use crate::score::{aggregate, level_scores, peers_to_cover, PeerScore};
 use hyperm_geometry::vecmath::dist;
 use hyperm_geometry::{solve_epsilon_for_k, ClusterView};
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{names, OpKind, SpanId};
-use hyperm_wavelet::Decomposition;
+use hyperm_telemetry::{names, Fields, OpKind, SpanId};
 
 /// Tuning of the k-nn heuristic.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,16 +84,7 @@ impl HypermNetwork {
     /// Retrieve the `k` items nearest to `q` (original space), following
     /// the retrieveKnn algorithm of Figure 5.
     pub fn knn_query(&self, from_peer: usize, q: &[f64], k: usize, opts: KnnOptions) -> KnnResult {
-        let dec = self.decompose_query(q);
-        self.knn_query_with(
-            from_peer,
-            q,
-            k,
-            opts,
-            &dec,
-            self.config.parallel_query,
-            None,
-        )
+        self.knn_query_with(from_peer, q, k, opts, self.config.parallel_query, None)
     }
 
     /// k-nn query with a failure-tolerance [`QueryBudget`]: unreachable
@@ -111,54 +100,35 @@ impl HypermNetwork {
         opts: KnnOptions,
         budget: QueryBudget,
     ) -> KnnResult {
-        let dec = self.decompose_query(q);
-        self.knn_query_with(
-            from_peer,
-            q,
-            k,
-            opts,
-            &dec,
-            self.config.parallel_query,
-            Some(budget),
-        )
+        let parallel = self.config.parallel_query;
+        self.knn_query_with(from_peer, q, k, opts, parallel, Some(budget))
     }
 
     /// Shared inner k-nn query (public API and [`crate::QueryEngine`]);
     /// see [`HypermNetwork::range_query_with`] for the parameter contract.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn knn_query_with(
         &self,
         from_peer: usize,
         q: &[f64],
         k: usize,
         opts: KnnOptions,
-        dec: &Decomposition,
         parallel: bool,
         budget: Option<QueryBudget>,
     ) -> KnnResult {
         assert!(k > 0, "k must be positive");
-        let tel = self.recorder();
-        let traced = tel.is_enabled();
-        // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
-        let t0 = traced.then(std::time::Instant::now);
-        let qspan = if traced {
-            tel.span(
-                // Roots under the ambient scope (serve span when remote).
-                tel.scope(),
-                names::QUERY,
-                vec![
-                    ("kind", "knn".into()),
-                    ("from", from_peer.into()),
-                    ("k", k.into()),
-                    ("c", opts.c.into()),
-                ],
-            )
-        } else {
-            SpanId::NONE
-        };
+        let dec = self.decompose_query(q);
+        let span = QuerySpan::open(self.recorder(), OpKind::KnnQuery, || {
+            vec![
+                ("kind", "knn".into()),
+                ("from", from_peer.into()),
+                ("k", k.into()),
+                ("c", opts.c.into()),
+            ]
+        });
+        let qspan = span.id;
         let level_out = self.run_levels(parallel, |l| {
             let mut lstats = OpStats::zero();
-            let (key, slack) = self.query_key_with_slack(dec, l);
+            let (key, slack) = self.query_key_with_slack(&dec, l);
             let dim = self.overlay(l).dim() as u32;
             let diag = (dim as f64).sqrt();
             let ltel = self.overlay(l).recorder();
@@ -244,197 +214,82 @@ impl HypermNetwork {
         if let Some(budget) = opts.peer_budget {
             p = p.min(budget);
         }
-        let mut truncated = false;
-        let mut retrieved: Vec<((usize, usize), f64)> = Vec::new();
-        let q_bytes = 8 * (q.len() as u64 + 1) + 16;
-        let peers_contacted = match budget {
-            None => {
-                // Legacy fetch loop — byte-identical to the pre-budget path.
-                let selected = &ranked[..p.min(ranked.len())];
-                let sum: f64 = selected.iter().map(|s| s.score).sum();
 
-                // Steps 7–9: request a proportional share from each
-                // selected peer.
-                for ps in selected {
-                    if !self.is_alive(ps.peer) {
-                        stats += OpStats {
-                            hops: 1,
-                            messages: 1,
-                            bytes: q_bytes,
-                            ..OpStats::zero()
-                        };
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH,
-                                vec![
-                                    ("peer", ps.peer.into()),
-                                    ("alive", false.into()),
-                                    ("items", 0u64.into()),
-                                    ("bytes", q_bytes.into()),
-                                ],
-                            );
-                        }
-                        continue;
-                    }
-                    let share = if sum > 0.0 {
-                        ps.score / sum
-                    } else {
-                        1.0 / selected.len() as f64
-                    };
-                    let want = ((opts.c * k as f64 * share).ceil() as usize).max(1);
-                    let local = self.peer(ps.peer).local_knn(q, want);
-                    let resp_bytes = 8 * q.len() as u64 * local.len() as u64 + 16;
-                    stats += direct_fetch_cost(q_bytes, resp_bytes);
-                    // Exactly-once load attribution: the answering peer.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(ps.peer, resp_bytes);
-                    }
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", ps.peer.into()),
-                                ("alive", true.into()),
-                                ("want", want.into()),
-                                ("items", local.len().into()),
-                                ("bytes", (q_bytes + resp_bytes).into()),
-                            ],
-                        );
-                    }
-                    retrieved.extend(local.into_iter().map(|(i, d)| ((ps.peer, i), d)));
-                }
-                selected.len()
-            }
-            Some(b) => {
-                // Failure-aware selection, then fetch. Unreachable peers
-                // cost a timeout; with fallback the window slides so P
-                // reachable peers (when available) still split the k·C
-                // request mass by score.
-                let ticks = b.timeout_ticks();
-                let mut phase2_hops = 0u64;
-                let target = p.min(ranked.len());
-                let mut selected: Vec<&PeerScore> = Vec::with_capacity(target);
-                for (idx, ps) in ranked.iter().enumerate() {
-                    if selected.len() == target {
-                        break;
-                    }
-                    if !b.fallback && idx >= target {
-                        break;
-                    }
-                    if let Some(d) = b.deadline {
-                        if phase2_hops >= d {
-                            truncated = true;
-                            break;
-                        }
-                    }
-                    if !(self.is_alive(ps.peer) && self.peers_connected(from_peer, ps.peer)) {
-                        phase2_hops += ticks;
-                        stats += timed_out_fetch_cost(q_bytes, ticks);
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH_TIMEOUT,
-                                vec![
-                                    ("peer", ps.peer.into()),
-                                    ("ticks", ticks.into()),
-                                    ("bytes", q_bytes.into()),
-                                ],
-                            );
-                        }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_TIMEOUT, 1);
-                        }
-                        continue;
-                    }
-                    if idx >= target {
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH_FALLBACK,
-                                vec![("peer", ps.peer.into()), ("rank", idx.into())],
-                            );
-                        }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_FALLBACK, 1);
-                        }
-                    }
-                    selected.push(ps);
-                }
-                let sum: f64 = selected.iter().map(|s| s.score).sum();
-                let mut fetched = 0usize;
-                for ps in &selected {
-                    if let Some(d) = b.deadline {
-                        if phase2_hops >= d {
-                            truncated = true;
-                            break;
-                        }
-                    }
-                    let share = if sum > 0.0 {
-                        ps.score / sum
-                    } else {
-                        1.0 / selected.len() as f64
-                    };
-                    let want = ((opts.c * k as f64 * share).ceil() as usize).max(1);
-                    let local = self.peer(ps.peer).local_knn(q, want);
-                    let resp_bytes = 8 * q.len() as u64 * local.len() as u64 + 16;
-                    stats += direct_fetch_cost(q_bytes, resp_bytes);
-                    // Exactly-once load attribution: the answering peer.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(ps.peer, resp_bytes);
-                    }
-                    phase2_hops += 2;
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", ps.peer.into()),
-                                ("alive", true.into()),
-                                ("want", want.into()),
-                                ("items", local.len().into()),
-                                ("bytes", (q_bytes + resp_bytes).into()),
-                            ],
-                        );
-                    }
-                    retrieved.extend(local.into_iter().map(|(i, d)| ((ps.peer, i), d)));
-                    fetched += 1;
-                }
-                fetched
-            }
+        // Steps 7–9: the phase-2 walk picks the window of P peers, then
+        // each is asked for a share of the C·k items proportional to its
+        // score.
+        let mut phase2 = Phase2::new(self, from_peer, q, budget, qspan, stats);
+        let mut window = Vec::with_capacity(p.min(ranked.len()));
+        phase2.walk(&ranked, p, |_, ps, _| window.push(*ps));
+        let mut fetch = KnnFetch {
+            net: self,
+            q,
+            mass: opts.c * k as f64,
+            score_sum: window.iter().map(|s| s.score).sum(),
+            peers: window.len(),
+            retrieved: Vec::new(),
         };
+        let peers_contacted = phase2.fetch_from(&window, window.len(), &mut fetch);
+        let mut retrieved = fetch.retrieved;
 
         // Step 10: sort and cut.
-        // hyperm-lint: allow(panic-unwrap) — distances are finite (inputs validated, no NaN can reach the sort key)
-        retrieved.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
+        retrieved.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         let topk = retrieved.iter().take(k).cloned().collect();
-        if traced {
-            tel.end(
-                qspan,
-                names::QUERY,
-                vec![
-                    ("hops", stats.hops.into()),
-                    ("messages", stats.messages.into()),
-                    ("bytes", stats.bytes.into()),
-                    ("retrieved", retrieved.len().into()),
-                    ("peers_contacted", peers_contacted.into()),
-                ],
-            );
-            tel.record_op(OpKind::KnnQuery, None, stats);
-            if let Some(t0) = t0 {
-                tel.record_latency_s(OpKind::KnnQuery, None, t0.elapsed().as_secs_f64());
-            }
-        }
+        span.close(
+            phase2.stats,
+            [
+                ("retrieved", retrieved.len()),
+                ("peers_contacted", peers_contacted),
+            ],
+        );
         KnnResult {
             retrieved,
             topk,
             epsilons,
             ranked,
             peers_contacted,
-            truncated,
-            stats,
+            truncated: phase2.truncated,
+            stats: phase2.stats,
         }
+    }
+}
+
+/// A k-nn query's phase-2 request: the peer's nearest items, as many as
+/// its score share of the `C·k` request mass.
+struct KnnFetch<'a> {
+    net: &'a HypermNetwork,
+    q: &'a [f64],
+    /// `C·k`, split over the window by score.
+    mass: f64,
+    score_sum: f64,
+    /// Window size, for the even split when no peer scored.
+    peers: usize,
+    retrieved: Vec<((usize, usize), f64)>,
+}
+
+impl Fetch for KnnFetch<'_> {
+    fn answer(&mut self, ps: &PeerScore, ev: Option<&mut Fields>) -> u64 {
+        let share = if self.score_sum > 0.0 {
+            ps.score / self.score_sum
+        } else {
+            1.0 / self.peers as f64
+        };
+        let want = ((self.mass * share).ceil() as usize).max(1);
+        let local = self.net.peer(ps.peer).local_knn(self.q, want);
+        let bytes = response_bytes(self.q, local.len());
+        if let Some(ev) = ev {
+            ev.push(("want", want.into()));
+            ev.push(("items", local.len().into()));
+            ev.push(("bytes", (request_bytes(self.q) + bytes).into()));
+        }
+        self.retrieved
+            .extend(local.into_iter().map(|(i, d)| ((ps.peer, i), d)));
+        bytes
+    }
+
+    fn unanswered(&self, ev: &mut Fields) {
+        ev.push(("items", 0u64.into()));
+        ev.push(("bytes", request_bytes(self.q).into()));
     }
 }
 

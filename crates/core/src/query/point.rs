@@ -8,12 +8,11 @@
 //! the min-policy candidate set always contains the true holder — then a
 //! direct exact-match request settles it.
 
-use crate::config::ScorePolicy;
 use crate::network::HypermNetwork;
-use crate::query::{direct_fetch_cost, timed_out_fetch_cost, QueryBudget};
+use crate::query::{Fetch, Phase2, QueryBudget, QuerySpan};
+use crate::score::{aggregate, PeerScore};
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{names, OpKind, SpanId};
-use hyperm_wavelet::Decomposition;
+use hyperm_telemetry::{names, Fields, OpKind, SpanId};
 use std::collections::BTreeMap;
 
 /// Outcome of a point query.
@@ -33,8 +32,7 @@ pub struct PointResult {
 impl HypermNetwork {
     /// Find every peer holding an item exactly equal to `q`.
     pub fn point_query(&self, from_peer: usize, q: &[f64]) -> PointResult {
-        let dec = self.decompose_query(q);
-        self.point_query_with(from_peer, q, &dec, self.config.parallel_query, None)
+        self.point_query_with(from_peer, q, self.config.parallel_query, None)
     }
 
     /// Point query with a failure-tolerance [`QueryBudget`]: probes to
@@ -48,8 +46,7 @@ impl HypermNetwork {
         q: &[f64],
         budget: QueryBudget,
     ) -> PointResult {
-        let dec = self.decompose_query(q);
-        self.point_query_with(from_peer, q, &dec, self.config.parallel_query, Some(budget))
+        self.point_query_with(from_peer, q, self.config.parallel_query, Some(budget))
     }
 
     /// Shared inner point query (public API and [`crate::QueryEngine`]);
@@ -58,28 +55,18 @@ impl HypermNetwork {
         &self,
         from_peer: usize,
         q: &[f64],
-        dec: &Decomposition,
         parallel: bool,
         budget: Option<QueryBudget>,
     ) -> PointResult {
-        let tel = self.recorder();
-        let traced = tel.is_enabled();
-        // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
-        let t0 = traced.then(std::time::Instant::now);
-        let qspan = if traced {
-            tel.span(
-                // Roots under the ambient scope (serve span when remote).
-                tel.scope(),
-                names::QUERY,
-                vec![("kind", "point".into()), ("from", from_peer.into())],
-            )
-        } else {
-            SpanId::NONE
-        };
+        let dec = self.decompose_query(q);
+        let span = QuerySpan::open(self.recorder(), OpKind::PointQuery, || {
+            vec![("kind", "point".into()), ("from", from_peer.into())]
+        });
+        let qspan = span.id;
 
         // Candidate = sphere containment per level, folded like scores.
         let level_out = self.run_levels(parallel, |l| {
-            let key = self.query_key(dec, l);
+            let key = self.query_key(&dec, l);
             let ltel = self.overlay(l).recorder();
             let lspan = if ltel.is_enabled() {
                 let s = ltel.span(qspan, names::OVERLAY_LOOKUP, vec![]);
@@ -115,141 +102,53 @@ impl HypermNetwork {
             stats += op;
             per_level.push(level);
         }
-        let ranked = crate::score::aggregate(&per_level, self.config.score_policy);
+        let ranked = aggregate(&per_level, self.config.score_policy);
         let candidates: Vec<usize> = ranked.iter().map(|p| p.peer).collect();
 
-        // Direct exact-match probes.
-        let q_bytes = 8 * (q.len() as u64 + 1) + 16;
-        let mut matches = Vec::new();
-        let mut truncated = false;
-        match budget {
-            None => {
-                // Legacy probe loop — byte-identical to the pre-budget path.
-                for &peer in &candidates {
-                    if !self.is_alive(peer) {
-                        stats += OpStats {
-                            hops: 1,
-                            messages: 1,
-                            bytes: q_bytes,
-                            ..OpStats::zero()
-                        };
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH,
-                                vec![
-                                    ("peer", peer.into()),
-                                    ("alive", false.into()),
-                                    ("matched", false.into()),
-                                ],
-                            );
-                        }
-                        continue;
-                    }
-                    stats += direct_fetch_cost(q_bytes, 24);
-                    // Exactly-once load attribution: the answering peer.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(peer, 24);
-                    }
-                    let hit = self.peer(peer).local_point(q);
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", peer.into()),
-                                ("alive", true.into()),
-                                ("matched", hit.is_some().into()),
-                            ],
-                        );
-                    }
-                    if let Some(idx) = hit {
-                        matches.push((peer, idx));
-                    }
-                }
-            }
-            Some(b) => {
-                let ticks = b.timeout_ticks();
-                let mut phase2_hops = 0u64;
-                for &peer in &candidates {
-                    if let Some(d) = b.deadline {
-                        if phase2_hops >= d {
-                            truncated = true;
-                            break;
-                        }
-                    }
-                    if !(self.is_alive(peer) && self.peers_connected(from_peer, peer)) {
-                        phase2_hops += ticks;
-                        stats += timed_out_fetch_cost(q_bytes, ticks);
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH_TIMEOUT,
-                                vec![
-                                    ("peer", peer.into()),
-                                    ("ticks", ticks.into()),
-                                    ("bytes", q_bytes.into()),
-                                ],
-                            );
-                        }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_TIMEOUT, 1);
-                        }
-                        continue;
-                    }
-                    stats += direct_fetch_cost(q_bytes, 24);
-                    // Exactly-once load attribution: the answering peer.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(peer, 24);
-                    }
-                    phase2_hops += 2;
-                    let hit = self.peer(peer).local_point(q);
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", peer.into()),
-                                ("alive", true.into()),
-                                ("matched", hit.is_some().into()),
-                            ],
-                        );
-                    }
-                    if let Some(idx) = hit {
-                        matches.push((peer, idx));
-                    }
-                }
-            }
-        }
-        if traced {
-            tel.end(
-                qspan,
-                names::QUERY,
-                vec![
-                    ("hops", stats.hops.into()),
-                    ("messages", stats.messages.into()),
-                    ("bytes", stats.bytes.into()),
-                    ("matches", matches.len().into()),
-                    ("candidates", candidates.len().into()),
-                ],
-            );
-            tel.record_op(OpKind::PointQuery, None, stats);
-            if let Some(t0) = t0 {
-                tel.record_latency_s(OpKind::PointQuery, None, t0.elapsed().as_secs_f64());
-            }
-        }
+        // Direct exact-match probes to every candidate.
+        let mut fetch = PointFetch {
+            net: self,
+            q,
+            matches: Vec::new(),
+        };
+        let mut phase2 = Phase2::new(self, from_peer, q, budget, qspan, stats);
+        phase2.fetch_from(&ranked, ranked.len(), &mut fetch);
+        let matches = fetch.matches;
+        span.close(
+            phase2.stats,
+            [("matches", matches.len()), ("candidates", candidates.len())],
+        );
         PointResult {
             matches,
             candidates,
-            truncated,
-            stats,
+            truncated: phase2.truncated,
+            stats: phase2.stats,
         }
     }
 }
 
-// Re-export for the doc-comment path used in lib.rs.
-#[allow(unused_imports)]
-use ScorePolicy as _;
+/// A point query's phase-2 request: the local index of an exact copy, in
+/// a fixed 24-byte reply.
+struct PointFetch<'a> {
+    net: &'a HypermNetwork,
+    q: &'a [f64],
+    matches: Vec<(usize, usize)>,
+}
+
+impl Fetch for PointFetch<'_> {
+    fn answer(&mut self, ps: &PeerScore, ev: Option<&mut Fields>) -> u64 {
+        let hit = self.net.peer(ps.peer).local_point(self.q);
+        if let Some(ev) = ev {
+            ev.push(("matched", hit.is_some().into()));
+        }
+        self.matches.extend(hit.map(|idx| (ps.peer, idx)));
+        24
+    }
+
+    fn unanswered(&self, ev: &mut Fields) {
+        ev.push(("matched", false.into()));
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -10,13 +10,11 @@
 //! only the top-scored ones, which is the recall-vs-peers trade-off the
 //! paper plots in Figure 10a.
 
-// hyperm-lint: allow-file(panic-index) — per-level vectors are built with len == levels() and indexed by the same 0..levels() range
 use crate::network::HypermNetwork;
-use crate::query::{direct_fetch_cost, timed_out_fetch_cost, QueryBudget};
+use crate::query::{request_bytes, response_bytes, Fetch, Phase2, QueryBudget, QuerySpan};
 use crate::score::{aggregate, level_scores, PeerScore};
 use hyperm_sim::{NodeId, OpStats};
-use hyperm_telemetry::{names, OpKind, SpanId};
-use hyperm_wavelet::Decomposition;
+use hyperm_telemetry::{names, Fields, OpKind, SpanId};
 
 /// Outcome of a distributed range query.
 #[derive(Debug, Clone)]
@@ -45,18 +43,8 @@ impl HypermNetwork {
         eps: f64,
         peer_budget: Option<usize>,
     ) -> RangeResult {
-        assert!(eps >= 0.0, "negative radius {eps}");
-        let dec = self.decompose_query(q);
-        self.range_query_with(
-            from_peer,
-            q,
-            eps,
-            peer_budget,
-            &dec,
-            None,
-            self.config.parallel_query,
-            None,
-        )
+        let parallel = self.config.parallel_query;
+        self.range_query_with(from_peer, q, eps, parallel, None, |_| peer_budget)
     }
 
     /// Range query with a failure-tolerance [`QueryBudget`]: unanswered
@@ -73,59 +61,72 @@ impl HypermNetwork {
         peer_budget: Option<usize>,
         budget: QueryBudget,
     ) -> RangeResult {
-        assert!(eps >= 0.0, "negative radius {eps}");
-        let dec = self.decompose_query(q);
-        self.range_query_with(
-            from_peer,
-            q,
-            eps,
-            peer_budget,
-            &dec,
-            None,
-            self.config.parallel_query,
-            Some(budget),
-        )
+        let parallel = self.config.parallel_query;
+        self.range_query_with(from_peer, q, eps, parallel, Some(budget), |_| peer_budget)
+    }
+
+    /// Range query that picks its own peer budget: contact the fewest
+    /// top-scored peers whose cumulative Eq.-1 score mass reaches
+    /// `target_recall` of the total (0 < target ≤ 1).
+    ///
+    /// The Eq.-1 score of a peer estimates how many relevant items it
+    /// holds, so the cumulative score fraction is an *a-priori* recall
+    /// estimate — the knob Figure 10a sweeps by hand, automated. With
+    /// `target_recall = 1.0` every candidate is contacted and the
+    /// no-false-dismissal guarantee applies unchanged. Phase 1 runs once;
+    /// the budget is read off its ranking.
+    pub fn range_query_adaptive(
+        &self,
+        from_peer: usize,
+        q: &[f64],
+        eps: f64,
+        target_recall: f64,
+    ) -> RangeResult {
+        assert!(
+            target_recall > 0.0 && target_recall <= 1.0,
+            "target recall must be in (0, 1], got {target_recall}"
+        );
+        let parallel = self.config.parallel_query;
+        self.range_query_with(from_peer, q, eps, parallel, None, |ranked| {
+            let total: f64 = ranked.iter().map(|p| p.score).sum();
+            if total <= 0.0 || target_recall >= 1.0 {
+                return None;
+            }
+            let mut acc = 0.0;
+            let reached = ranked.iter().position(|ps| {
+                acc += ps.score;
+                acc / total >= target_recall
+            });
+            reached.map(|i| i + 1)
+        })
     }
 
     /// Shared inner range query: the public API and the batch
-    /// [`crate::QueryEngine`] both land here. `dec` is the query's (possibly
-    /// reused) wavelet decomposition; `base_radii` optionally supplies the
-    /// per-level key-space radii (the engine precomputes them once per
-    /// batch); `parallel` selects per-level scoped threads. All paths
-    /// produce bit-identical results: levels are independent and stats are
-    /// merged in level order. `budget = None` keeps phase 2 on the legacy
-    /// fetch loop, byte for byte.
-    #[allow(clippy::too_many_arguments)]
+    /// [`crate::QueryEngine`] both land here. `parallel` selects per-level
+    /// scoped threads; all paths produce bit-identical results, since
+    /// levels are independent and stats are merged in level order.
+    /// `peer_budget` picks the number of top-ranked peers to contact once
+    /// the ranking is known (`None` = all of them).
     pub(crate) fn range_query_with(
         &self,
         from_peer: usize,
         q: &[f64],
         eps: f64,
-        peer_budget: Option<usize>,
-        dec: &Decomposition,
-        base_radii: Option<&[f64]>,
         parallel: bool,
         budget: Option<QueryBudget>,
+        peer_budget: impl FnOnce(&[PeerScore]) -> Option<usize>,
     ) -> RangeResult {
+        assert!(eps >= 0.0, "negative radius {eps}");
+        let dec = self.decompose_query(q);
         let tel = self.recorder();
-        let traced = tel.is_enabled();
-        // hyperm-lint: allow(det-wall-clock) — host-latency metric for the trace only; never feeds simulated results or routing decisions
-        let t0 = traced.then(std::time::Instant::now);
-        let qspan = if traced {
-            tel.span(
-                // Roots under the recorder's ambient scope — NONE standalone,
-                // the serve span when a node runtime is dispatching us.
-                tel.scope(),
-                names::QUERY,
-                vec![
-                    ("kind", "range".into()),
-                    ("from", from_peer.into()),
-                    ("eps", eps.into()),
-                ],
-            )
-        } else {
-            SpanId::NONE
-        };
+        let span = QuerySpan::open(tel, OpKind::RangeQuery, || {
+            vec![
+                ("kind", "range".into()),
+                ("from", from_peer.into()),
+                ("eps", eps.into()),
+            ]
+        });
+        let qspan = span.id;
 
         // Phase 1: per-level overlay lookups + scoring. The clamp slack
         // widens the search radius for query points whose subspace
@@ -133,9 +134,8 @@ impl HypermNetwork {
         // matching the publish-side widening — no false dismissals either
         // way.
         let level_out = self.run_levels(parallel, |l| {
-            let (key, slack) = self.query_key_with_slack(dec, l);
-            let base = base_radii.map_or_else(|| self.query_key_radius(eps, l), |r| r[l]);
-            let key_eps = base + slack;
+            let (key, slack) = self.query_key_with_slack(&dec, l);
+            let key_eps = self.query_key_radius(eps, l) + slack;
             let ltel = self.overlay(l).recorder();
             // Popular-summary cache (hot-spot relief): an identical
             // phase-1 lookup seen since the last overlay mutation is
@@ -199,7 +199,7 @@ impl HypermNetwork {
             per_level.push(scores);
         }
         let ranked = aggregate(&per_level, self.config.score_policy);
-        if traced {
+        if tel.is_enabled() {
             for ps in &ranked {
                 tel.event(
                     qspan,
@@ -210,163 +210,53 @@ impl HypermNetwork {
         }
 
         // Phase 2: contact the selected peers; they answer exactly.
-        let target = peer_budget.map_or(ranked.len(), |b| b.min(ranked.len()));
-        let mut items = Vec::new();
-        let mut truncated = false;
-        let mut contacted = 0usize;
-        let q_bytes = 8 * (q.len() as u64 + 1) + 16;
-        match budget {
-            None => {
-                // Legacy fetch loop — byte-identical to the pre-budget path.
-                for ps in &ranked[..target] {
-                    if !self.is_alive(ps.peer) {
-                        // Timed-out probe: one unanswered request.
-                        stats += hyperm_sim::OpStats {
-                            hops: 1,
-                            messages: 1,
-                            bytes: q_bytes,
-                            ..OpStats::zero()
-                        };
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH,
-                                vec![
-                                    ("peer", ps.peer.into()),
-                                    ("alive", false.into()),
-                                    ("items", 0u64.into()),
-                                    ("bytes", q_bytes.into()),
-                                ],
-                            );
-                        }
-                        continue;
-                    }
-                    let local = self.peer(ps.peer).local_range(q, eps);
-                    let resp_bytes = 8 * q.len() as u64 * local.len() as u64 + 16;
-                    stats += direct_fetch_cost(q_bytes, resp_bytes);
-                    // The answering peer (and only it) is charged for the
-                    // phase-2 fetch; timed-out probes charge no one.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(ps.peer, resp_bytes);
-                    }
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", ps.peer.into()),
-                                ("alive", true.into()),
-                                ("items", local.len().into()),
-                                ("bytes", (q_bytes + resp_bytes).into()),
-                            ],
-                        );
-                    }
-                    items.extend(local.into_iter().map(|i| (ps.peer, i)));
-                }
-                contacted = target;
-            }
-            Some(b) => {
-                // Failure-aware fetch: answered fetches count toward the
-                // target, unreachable peers cost a timeout, and (with
-                // fallback) the window slides to the next-scored candidate.
-                let ticks = b.timeout_ticks();
-                let mut phase2_hops = 0u64;
-                for (idx, ps) in ranked.iter().enumerate() {
-                    if contacted == target {
-                        break;
-                    }
-                    if !b.fallback && idx >= target {
-                        break;
-                    }
-                    if let Some(d) = b.deadline {
-                        if phase2_hops >= d {
-                            truncated = true;
-                            break;
-                        }
-                    }
-                    let reachable =
-                        self.is_alive(ps.peer) && self.peers_connected(from_peer, ps.peer);
-                    if !reachable {
-                        phase2_hops += ticks;
-                        stats += timed_out_fetch_cost(q_bytes, ticks);
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH_TIMEOUT,
-                                vec![
-                                    ("peer", ps.peer.into()),
-                                    ("ticks", ticks.into()),
-                                    ("bytes", q_bytes.into()),
-                                ],
-                            );
-                        }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_TIMEOUT, 1);
-                        }
-                        continue;
-                    }
-                    if idx >= target {
-                        if traced {
-                            tel.event(
-                                qspan,
-                                names::FETCH_FALLBACK,
-                                vec![("peer", ps.peer.into()), ("rank", idx.into())],
-                            );
-                        }
-                        if let Some(m) = tel.metrics() {
-                            m.add(names::FETCH_FALLBACK, 1);
-                        }
-                    }
-                    let local = self.peer(ps.peer).local_range(q, eps);
-                    let resp_bytes = 8 * q.len() as u64 * local.len() as u64 + 16;
-                    stats += direct_fetch_cost(q_bytes, resp_bytes);
-                    // The answering peer (and only it) is charged for the
-                    // phase-2 fetch; timed-out probes charge no one.
-                    if let Some(ledger) = self.load_ledger() {
-                        ledger.charge_fetch_answered(ps.peer, resp_bytes);
-                    }
-                    phase2_hops += 2;
-                    if traced {
-                        tel.event(
-                            qspan,
-                            names::FETCH,
-                            vec![
-                                ("peer", ps.peer.into()),
-                                ("alive", true.into()),
-                                ("items", local.len().into()),
-                                ("bytes", (q_bytes + resp_bytes).into()),
-                            ],
-                        );
-                    }
-                    items.extend(local.into_iter().map(|i| (ps.peer, i)));
-                    contacted += 1;
-                }
-            }
-        }
-        if traced {
-            tel.end(
-                qspan,
-                names::QUERY,
-                vec![
-                    ("hops", stats.hops.into()),
-                    ("messages", stats.messages.into()),
-                    ("bytes", stats.bytes.into()),
-                    ("items", items.len().into()),
-                    ("peers_contacted", contacted.into()),
-                ],
-            );
-            tel.record_op(OpKind::RangeQuery, None, stats);
-            if let Some(t0) = t0 {
-                tel.record_latency_s(OpKind::RangeQuery, None, t0.elapsed().as_secs_f64());
-            }
-        }
+        let target = peer_budget(&ranked).map_or(ranked.len(), |b| b.min(ranked.len()));
+        let mut fetch = RangeFetch {
+            net: self,
+            q,
+            eps,
+            items: Vec::new(),
+        };
+        let mut phase2 = Phase2::new(self, from_peer, q, budget, qspan, stats);
+        let contacted = phase2.fetch_from(&ranked, target, &mut fetch);
+        let items = fetch.items;
+        span.close(
+            phase2.stats,
+            [("items", items.len()), ("peers_contacted", contacted)],
+        );
         RangeResult {
             items,
             ranked,
             peers_contacted: contacted,
-            truncated,
-            stats,
+            truncated: phase2.truncated,
+            stats: phase2.stats,
         }
+    }
+}
+
+/// A range query's phase-2 request: every local item within `eps`.
+struct RangeFetch<'a> {
+    net: &'a HypermNetwork,
+    q: &'a [f64],
+    eps: f64,
+    items: Vec<(usize, usize)>,
+}
+
+impl Fetch for RangeFetch<'_> {
+    fn answer(&mut self, ps: &PeerScore, ev: Option<&mut Fields>) -> u64 {
+        let local = self.net.peer(ps.peer).local_range(self.q, self.eps);
+        let bytes = response_bytes(self.q, local.len());
+        if let Some(ev) = ev {
+            ev.push(("items", local.len().into()));
+            ev.push(("bytes", (request_bytes(self.q) + bytes).into()));
+        }
+        self.items.extend(local.into_iter().map(|i| (ps.peer, i)));
+        bytes
+    }
+
+    fn unanswered(&self, ev: &mut Fields) {
+        ev.push(("items", 0u64.into()));
+        ev.push(("bytes", request_bytes(self.q).into()));
     }
 }
 
@@ -475,52 +365,16 @@ mod tests {
     }
 }
 
-impl HypermNetwork {
-    /// Range query that picks its own peer budget: contact the fewest
-    /// top-scored peers whose cumulative Eq.-1 score mass reaches
-    /// `target_recall` of the total (0 < target ≤ 1).
-    ///
-    /// The Eq.-1 score of a peer estimates how many relevant items it
-    /// holds, so the cumulative score fraction is an *a-priori* recall
-    /// estimate — the knob Figure 10a sweeps by hand, automated. With
-    /// `target_recall = 1.0` every candidate is contacted and the
-    /// no-false-dismissal guarantee applies unchanged.
-    pub fn range_query_adaptive(
-        &self,
-        from_peer: usize,
-        q: &[f64],
-        eps: f64,
-        target_recall: f64,
-    ) -> RangeResult {
-        assert!(
-            target_recall > 0.0 && target_recall <= 1.0,
-            "target recall must be in (0, 1], got {target_recall}"
-        );
-        // Phase 1 once, unbudgeted, to obtain the ranking.
-        let ranked = self.range_query(from_peer, q, eps, Some(0)).ranked;
-        let total: f64 = ranked.iter().map(|p| p.score).sum();
-        let mut budget = ranked.len();
-        if total > 0.0 && target_recall < 1.0 {
-            let mut acc = 0.0;
-            for (i, ps) in ranked.iter().enumerate() {
-                acc += ps.score;
-                if acc / total >= target_recall {
-                    budget = i + 1;
-                    break;
-                }
-            }
-        }
-        self.range_query(from_peer, q, eps, Some(budget))
-    }
-}
-
 #[cfg(test)]
 mod adaptive_tests {
     use crate::config::HypermConfig;
     use crate::network::HypermNetwork;
+    use crate::query::cache::SummaryCache;
     use hyperm_cluster::Dataset;
+    use hyperm_sim::LoadLedger;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn build(seed: u64) -> HypermNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -582,5 +436,42 @@ mod adaptive_tests {
         let net = build(3);
         let q = net.peer(0).items.row(0).to_vec();
         net.range_query_adaptive(0, &q, 0.2, 0.0);
+    }
+
+    /// One adaptive query costs exactly what the equivalent fixed-budget
+    /// range query costs: phase 1 runs once, so the load ledger sees one
+    /// query's floods and fetches, not two.
+    #[test]
+    fn adaptive_query_runs_phase_one_once() {
+        let mut net = build(1);
+        let ledger = Arc::new(LoadLedger::new(net.len(), net.levels()));
+        net.set_load_ledger(Some(ledger.clone()));
+        let q = net.peer(3).items.row(0).to_vec();
+        for target in [0.5, 1.0] {
+            ledger.reset();
+            let adaptive = net.range_query_adaptive(0, &q, 0.3, target);
+            let adaptive_events = ledger.total_events();
+            ledger.reset();
+            let plain = net.range_query(0, &q, 0.3, Some(adaptive.peers_contacted));
+            assert_eq!(adaptive_events, ledger.total_events(), "target {target}");
+            assert_eq!(adaptive.items, plain.items);
+            assert_eq!(adaptive.stats, plain.stats);
+            assert_eq!(adaptive.peers_contacted, plain.peers_contacted);
+        }
+    }
+
+    /// With the popular-summary cache installed, a cold adaptive query pays
+    /// its overlay lookups like a cold range query does, instead of
+    /// answering them from a cache entry it filled itself.
+    #[test]
+    fn cold_adaptive_query_misses_the_summary_cache() {
+        let plain_net = build(2);
+        let mut cached_net = build(2);
+        cached_net.set_summary_cache(Some(Arc::new(SummaryCache::new(100, 1024))));
+        let q = plain_net.peer(5).items.row(1).to_vec();
+        let adaptive = cached_net.range_query_adaptive(0, &q, 0.3, 1.0);
+        let plain = plain_net.range_query(0, &q, 0.3, None);
+        assert_eq!(adaptive.items, plain.items);
+        assert_eq!(adaptive.stats, plain.stats);
     }
 }

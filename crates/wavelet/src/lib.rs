@@ -13,13 +13,6 @@
 //! * [`decomposition`] — full multi-resolution decomposition, the
 //!   [`Subspace`] addressing scheme (`A`, `D_l`), reconstruction and partial
 //!   reconstruction;
-//! * [`daubechies`] — a Daubechies-4 transform with periodic boundary
-//!   handling. The paper proves its results for Haar and notes "similar,
-//!   though more laborious proofs can be done for other wavelets"; D4 is
-//!   provided as that extension point and for ablation benches;
-//! * [`cdf53`] — the biorthogonal CDF 5/3 (LeGall) lifting filter used by
-//!   JPEG2000's lossless path, which the paper cites as the codec already
-//!   running on the devices;
 //! * [`image2d`] — separable 2-D Haar (LL/LH/HL/HH quadrants + pyramids)
 //!   for deriving wavelet-domain features straight from raster images;
 //! * [`theory`] — Theorem 3.1: the radius-contraction factor that maps a
@@ -31,15 +24,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cdf53;
-pub mod daubechies;
 pub mod decomposition;
 pub mod haar;
 pub mod image2d;
 pub mod theory;
 
-pub use cdf53::{cdf53_decompose, cdf53_frame_bounds, cdf53_reconstruct};
-pub use daubechies::{d4_decompose, d4_reconstruct};
 pub use decomposition::{
     decompose, pad_to_power_of_two, reconstruct, reconstruct_partial, Decomposition, Subspace,
     WaveletError,

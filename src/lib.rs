@@ -11,7 +11,7 @@
 //!
 //! * [`core`](mod@core) — the Hyper-M framework (build, range/k-nn/point
 //!   queries, maintenance, evaluation);
-//! * [`wavelet`](mod@wavelet) — Haar/D4 transforms and Theorem 3.1;
+//! * [`wavelet`](mod@wavelet) — Haar transforms and Theorem 3.1;
 //! * [`cluster`](mod@cluster) — k-means and cluster spheres;
 //! * [`geometry`](mod@geometry) — hypersphere intersections and the
 //!   Eq. 8 radius solver;
